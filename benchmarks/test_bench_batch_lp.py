@@ -1,17 +1,13 @@
-"""Experiment F11: the vectorized array kernels and batched LP solves.
+"""Experiment F11: the vectorized array kernels.
 
-Three claims to regenerate (all gated on numpy — the array kernel is
+Two claims to regenerate (both gated on numpy — the array kernel is
 the optional ``repro[perf]`` accelerator):
 
 - the numpy array kernel beats the integer row kernel by >= 2x on the
   FM-heavy hull(4) projection of experiment F8, with byte-identical
   projections;
-- ``feasible_point_batch`` dispatching same-shape tableaus as one
-  lockstep multi-tableau solve beats the serial ``solve_lp`` loop,
-  with byte-identical witnesses and pivot counts;
-- an end-to-end corpus sweep under ``fm_kernel="array"`` (batched
-  per-SCC dispatch included) beats the ``"int"`` sweep with identical
-  verdicts.
+- an end-to-end corpus sweep under ``fm_kernel="array"`` beats the
+  ``"int"`` sweep with identical verdicts.
 
 Each test folds its measurements into the repo-level ``BENCH_F11.json``
 so the headline numbers are quotable without re-running pytest.
@@ -23,10 +19,7 @@ import os
 import pytest
 
 from repro.linalg.array_kernel import numpy_available
-from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import eliminate_all_tracked
-from repro.linalg.linexpr import LinearExpr
-from repro.linalg.simplex import OPTIMAL, feasible_point_batch, solve_lp
 
 from benchmarks.conftest import emit
 from benchmarks.test_bench_kernel import best_of, hull_lift_workload
@@ -103,85 +96,6 @@ def test_fm_array_speedup(benchmark):
     # The acceptance target: >= 2x over the integer kernel on the
     # elimination-bound hull(4) workload.
     assert hull4_ratio >= 2.0, rows
-
-
-# -- batched lockstep simplex -------------------------------------------------
-
-
-def batch_lp_workload(count, nv=6):
-    """*count* same-shape feasibility systems with varied constants —
-    the shape profile of per-SCC lambda solves, which the batch layer
-    groups into one lockstep multi-tableau dispatch."""
-    systems = []
-    for k in range(count):
-        dims = ["v%d" % i for i in range(nv)]
-        rows = [
-            Constraint.ge(LinearExpr.of(d) - (1 + (k + i) % 5))
-            for i, d in enumerate(dims)
-        ]
-        rows += [
-            Constraint.ge(
-                (20 + 3 * (k % 7))
-                - LinearExpr.of(dims[i]) - LinearExpr.of(dims[(i + 1) % nv])
-            )
-            for i in range(nv)
-        ]
-        rows.append(
-            Constraint.ge(
-                sum((LinearExpr.of(d) for d in dims),
-                    LinearExpr.constant(0))
-                - (8 + k % 11)
-            )
-        )
-        systems.append(ConstraintSystem(rows))
-    return systems
-
-
-def test_batched_lp_speedup(benchmark):
-    count = 48
-    systems = batch_lp_workload(count)
-    zero = LinearExpr.constant(0)
-
-    def serial():
-        results = []
-        for system in systems:
-            result = solve_lp(zero, system, kernel="array")
-            results.append(
-                result.assignment if result.status == OPTIMAL else None
-            )
-        return results
-
-    serial_time, serial_results = best_of(5, serial)
-    batch_time, batch_results = best_of(
-        5, lambda: feasible_point_batch(systems, kernel="array")
-    )
-    assert batch_results == serial_results
-    ratio = serial_time / batch_time
-    feasible = sum(1 for r in batch_results if r is not None)
-
-    benchmark.pedantic(
-        lambda: feasible_point_batch(systems, kernel="array"),
-        rounds=3, iterations=1,
-    )
-    lines = [
-        "%d same-shape feasibility systems (%d feasible)"
-        % (count, feasible),
-        "serial solve_lp loop:    %7.4fs" % serial_time,
-        "lockstep batched solve:  %7.4fs" % batch_time,
-        "speedup:                 %5.2fx" % ratio,
-        "witnesses identical: True",
-    ]
-    record = {
-        "systems": count,
-        "feasible": feasible,
-        "serial_seconds": serial_time,
-        "batched_seconds": batch_time,
-        "speedup": ratio,
-        "witnesses_identical": True,
-    }
-    emit("F11_batch_lp", "\n".join(lines) + "\n", data=record)
-    _update_headline("batch_lp", record)
-    assert ratio >= 1.2, lines
 
 
 # -- end-to-end corpus sweep --------------------------------------------------

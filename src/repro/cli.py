@@ -97,9 +97,8 @@ def build_parser():
         choices=("int", "array", "reference"),
         help="Fourier–Motzkin/simplex kernel: 'int' (default) is the "
         "dense integer row kernel, 'array' the vectorized numpy "
-        "kernel with batched per-SCC LP solves (falls back to 'int' "
-        "without numpy), 'reference' the original object pipeline; "
-        "all three give byte-identical results",
+        "kernel (falls back to 'int' without numpy), 'reference' the "
+        "original object pipeline; all three give byte-identical results",
     )
     parser.add_argument(
         "--negative-theta", action="store_true",

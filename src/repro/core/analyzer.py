@@ -133,8 +133,8 @@ class AnalyzerSettings:
     ``prune_fm`` — redundancy pruning inside Fourier–Motzkin.
     ``fm_kernel`` — ``"int"`` (default) runs Fourier–Motzkin solves on
     the dense integer row kernel; ``"array"`` runs the vectorized
-    numpy kernel (batched per-SCC LP dispatch included), degrading to
-    ``"int"`` when numpy is missing or int64 would overflow;
+    numpy kernel, degrading to ``"int"`` when numpy is missing or int64
+    would overflow;
     ``"reference"`` keeps the original object pipeline (differential
     testing / ablation).  All three produce byte-identical verdicts
     and witnesses.

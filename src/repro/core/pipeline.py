@@ -41,7 +41,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from time import perf_counter
 
 from repro.errors import AnalysisError
 from repro.obs import METRICS, Tracer, span
@@ -51,7 +50,7 @@ from repro.linalg.constraints import ConstraintSystem
 from repro.linalg.fourier_motzkin import KERNELS, use_kernel
 from repro.graph.scc import is_recursive_component, strongly_connected_components
 from repro.sizes.norms import get_norm
-from repro.solve import BatchLPBackend, get_backend
+from repro.solve import get_backend
 from repro.interarg import (
     SizeEnvironment,
     infer_interargument_constraints,
@@ -188,22 +187,6 @@ class AnalysisTrace:
                         node.counters[name] = (
                             node.counters.get(name, 0) + value
                         )
-
-    def add(self, event):
-        """Record an already-measured :class:`StageTrace` event as a
-        closed stage span (kept for callers that timed work
-        themselves)."""
-        node = None
-        with self.tracer.span(
-            _STAGE_SPAN_PREFIX + event.stage, stage=event.stage
-        ) as node:
-            pass
-        node.started = 0.0
-        node.wall_s = event.wall_time
-        for name in _STAGE_COUNTERS:
-            value = getattr(event, name)
-            if value:
-                node.counters[name] = value
 
     def stage(self, name):
         """The accumulated :class:`StageTrace` for *name*, derived
@@ -624,23 +607,6 @@ class _SCCState:
     outcome: object = None
 
 
-@dataclass
-class _PreparedSCC:
-    """One SCC run through its pre-solve stages (batched dispatch).
-
-    ``result`` is set when the SCC finished early — a certificate
-    cache hit or a pre-solve verdict — otherwise ``state.final``
-    holds the assembled lambda system awaiting the batched solve.
-    """
-
-    state: _SCCState
-    result: object = None
-    fingerprint: str = ""
-    order: object = None
-    cache_state: str = ""
-    assembly_time: float = 0.0
-
-
 class AnalysisPipeline:
     """Staged execution engine bound to one program + settings.
 
@@ -777,12 +743,7 @@ class AnalysisPipeline:
             worklist.append(
                 (members, is_recursive_component(graph, component))
             )
-        batched = (
-            isinstance(self.backend, BatchLPBackend)
-            and sum(1 for _, recursive in worklist if recursive) >= 2
-        )
         scc_results = []
-        pending = []  # (result slot index, _PreparedSCC) awaiting solve
         overall = PROVED
         for members, recursive in worklist:
             if not recursive:
@@ -801,15 +762,7 @@ class AnalysisPipeline:
                         )
                     )
                 continue
-            if batched:
-                prepared = self._prepare_scc(members, trace)
-                if prepared.result is None:
-                    pending.append((len(scc_results), prepared))
-                scc_results.append(prepared.result)
-                continue
             scc_results.append(self.analyze_scc(members, trace=trace))
-        if pending:
-            self._solve_scc_batch(pending, scc_results, trace)
         for result in scc_results:
             if not result.proved:
                 overall = UNKNOWN
@@ -868,83 +821,6 @@ class AnalysisPipeline:
                         result, fingerprint, order, cache_state
                     )
         raise AnalysisError("certify stage returned no result")  # unreachable
-
-    def _prepare_scc(self, members, trace):
-        """Run one SCC's pre-solve stages (batched dispatch mode).
-
-        Mirrors :meth:`analyze_scc` up to the point the final lambda
-        system exists, then defers the feasibility solve: the caller
-        collects every prepared SCC and dispatches them through one
-        :meth:`~repro.solve.LPBackend.feasible_points` call.  Early
-        finishes (certificate reuse, a pre-solve verdict) come back
-        with ``.result`` already set.
-        """
-        state = _SCCState(members=tuple(members))
-        prepared = _PreparedSCC(state=state)
-        with trace.span(
-            "scc", members=", ".join(str(m) for m in state.members)
-        ) as scc_span, use_kernel(self.fm_kernel):
-            if self.certificate_cache is not None:
-                with trace.timed("fingerprint") as event:
-                    reused, prepared.fingerprint, prepared.order = (
-                        self._reuse_certificate(state.members, event)
-                    )
-                if reused is not None:
-                    scc_span.set(cache="hit")
-                    prepared.result = reused
-                    return prepared
-                prepared.cache_state = (
-                    "rejected" if event.cache_misses and event.cache_hits
-                    else "miss"
-                )
-                scc_span.set(cache=prepared.cache_state)
-            for name in self.SCC_STAGES[:-2]:
-                stage = getattr(self, "_stage_%s" % name)
-                with trace.timed(name) as event:
-                    result = stage(state, event)
-                if result is not None:
-                    prepared.result = self._publish_certificate(
-                        result, prepared.fingerprint, prepared.order,
-                        prepared.cache_state,
-                    )
-                    return prepared
-            started = perf_counter()
-            self._assemble_final(state)
-            prepared.assembly_time = perf_counter() - started
-        return prepared
-
-    def _solve_scc_batch(self, pending, scc_results, trace):
-        """Dispatch the deferred solves as one batched backend call.
-
-        Fills each pending ``(slot, prepared)`` entry of *scc_results*
-        in place.  Stage accounting matches the serial path: one
-        ``solve`` record per SCC (an even share of the batch wall time
-        plus that SCC's assembly time), then the ordinary ``certify``
-        stage; outcomes are byte-identical to serial solves by the
-        :class:`~repro.solve.BatchLPBackend` contract.
-        """
-        with use_kernel(self.fm_kernel):
-            finals = [prepared.state.final for _, prepared in pending]
-            with trace.span("solve.batch", sccs=len(finals)):
-                started = perf_counter()
-                outcomes = self.backend.feasible_points(finals)
-                share = (perf_counter() - started) / len(finals)
-            for (slot, prepared), outcome in zip(pending, outcomes):
-                state = prepared.state
-                state.outcome = outcome
-                event = StageTrace(
-                    stage="solve", calls=1,
-                    wall_time=share + prepared.assembly_time,
-                )
-                result = self._solve_verdict(state, event)
-                trace.add(event)
-                if result is None:
-                    with trace.timed("certify") as cevent:
-                        result = self._stage_certify(state, cevent)
-                scc_results[slot] = self._publish_certificate(
-                    result, prepared.fingerprint, prepared.order,
-                    prepared.cache_state,
-                )
 
     def _reuse_certificate(self, members, event):
         """Try the certificate cache for one SCC.
@@ -1120,8 +996,8 @@ class AnalysisPipeline:
             )
         return None
 
-    def _assemble_final(self, state):
-        """Build (and remember) the final lambda feasibility system."""
+    def _stage_solve(self, state, event):
+        """Final lambda feasibility through the configured backend."""
         if self.settings.allow_negative_theta:
             final = ConstraintSystem(state.combined)
             final.extend(state.lambda_system)
@@ -1130,13 +1006,9 @@ class AnalysisPipeline:
             final = substitute_thetas(state.combined, state.thetas)
             final.extend(state.lambda_system)
         state.final = final
-        return final
-
-    def _solve_verdict(self, state, event):
-        """Fold ``state.outcome`` into the solve *event*; an UNKNOWN
-        :class:`SCCResult` on infeasibility, None to continue."""
+        state.outcome = self.backend.feasible_point(final)
         stats = state.outcome.stats
-        event.rows_in = len(state.final)
+        event.rows_in = len(final)
         event.rows_out = stats.rows_out
         event.pivots = stats.pivots
         event.eliminations = stats.eliminations
@@ -1150,15 +1022,9 @@ class AnalysisPipeline:
                 members=state.members,
                 status=UNKNOWN,
                 reason=reason,
-                constraint_rows=len(state.final),
+                constraint_rows=len(final),
             )
         return None
-
-    def _stage_solve(self, state, event):
-        """Final lambda feasibility through the configured backend."""
-        final = self._assemble_final(state)
-        state.outcome = self.backend.feasible_point(final)
-        return self._solve_verdict(state, event)
 
     def _stage_certify(self, state, event):
         """Extract the lambda (and, in Appendix C mode, theta) witness."""

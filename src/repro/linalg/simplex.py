@@ -662,266 +662,3 @@ class _ArrayStandardForm(_StandardForm):
             status=OPTIMAL, value=value, assignment=assignment,
             duals=duals, pivots=self._pivots,
         )
-
-
-def feasible_point_batch(systems, nonnegative=(), kernel=None,
-                         with_pivots=False):
-    """Batched feasibility: one :func:`feasible_point`-equivalent
-    result per system, grouped into lockstep multi-tableau solves.
-
-    Same-shape phase-1 integer tableaus are stacked into one
-    ``(tableaus, rows, columns)`` int64 array; each round performs
-    every active tableau's next Bland pivot as a single batched rank-1
-    update.  Entering/leaving selection per tableau depends only on
-    that tableau's own state, so each walks exactly the pivot sequence
-    the serial solver would — the returned assignments are
-    byte-identical to per-system ``feasible_point`` calls (pinned by
-    the differential property tests).  A tableau whose entries would
-    overflow int64 is ejected from its group and re-solved serially.
-
-    Falls back to plain serial solves unless the resolved kernel is
-    ``"array"`` and numpy is importable.  Returns a list of
-    ``{var: Fraction}`` assignments (None per infeasible system); with
-    *with_pivots* each entry is an ``(assignment, pivots)`` pair
-    instead.
-    """
-    from repro.linalg.fourier_motzkin import KERNEL_ARRAY, _validate_kernel
-
-    systems = list(systems)
-    use_array = _validate_kernel(kernel) == KERNEL_ARRAY
-    if use_array:
-        from repro.linalg.array_kernel import numpy_available
-
-        use_array = numpy_available()
-    if not use_array or len(systems) < 2:
-        if METRICS.enabled and systems:
-            METRICS.counter("simplex.batch.serial_fallbacks").inc()
-        serial = [
-            solve_lp(LinearExpr.constant(0), s, nonnegative=nonnegative)
-            for s in systems
-        ]
-        outcomes = [
-            (r.assignment if r.status == OPTIMAL else None, r.pivots)
-            for r in serial
-        ]
-        if with_pivots:
-            return outcomes
-        return [assignment for assignment, _ in outcomes]
-
-    from repro.linalg.array_kernel import require_numpy
-
-    np = require_numpy()
-    zero = LinearExpr.constant(0)
-    problems = [
-        _StandardForm(zero, list(system), "min", nonnegative)
-        for system in systems
-    ]
-    groups = {}
-    for position, problem in enumerate(problems):
-        shape = (len(problem._rhs), problem._num_columns)
-        groups.setdefault(shape if shape[0] else None, []).append(position)
-    if METRICS.enabled:
-        METRICS.counter("simplex.batch.dispatches").inc()
-        METRICS.counter("simplex.batch.requests").inc(len(systems))
-        METRICS.counter("simplex.batch.groups").inc(len(groups))
-        METRICS.histogram("simplex.batch.group_size").observe(
-            max(len(members) for members in groups.values())
-        )
-
-    results = [None] * len(systems)
-    for shape, members in groups.items():
-        overflowed = list(members)
-        if shape is not None and len(members) > 1:
-            lockstepped = _run_phase1_lockstep(
-                np, [problems[p] for p in members]
-            )
-            overflowed = [
-                position for position, ok in zip(members, lockstepped)
-                if not ok
-            ]
-            for position, ok in zip(members, lockstepped):
-                if ok:
-                    results[position] = (
-                        _finish_phase1(problems[position]),
-                        problems[position]._pivots,
-                    )
-        for position in overflowed:
-            # Ejected (or singleton/zero-row) tableaus re-solve from
-            # scratch on the serial Fraction path.
-            if METRICS.enabled and shape is not None and len(members) > 1:
-                METRICS.counter("simplex.batch.ejected").inc()
-            outcome = solve_lp(
-                LinearExpr.constant(0), systems[position],
-                nonnegative=nonnegative,
-            )
-            results[position] = (
-                outcome.assignment if outcome.status == OPTIMAL else None,
-                outcome.pivots,
-            )
-    if with_pivots:
-        return results
-    return [assignment for assignment, _ in results]
-
-
-def _run_phase1_lockstep(np, problems):
-    """Drive phase 1 of same-shape integer tableaus with batched
-    pivots; returns one ``ok`` flag per problem (False = ejected on
-    int64 overflow, its state is untrusted).
-
-    On success a problem's ``_matrix``/``_rhs``/``_basis`` hold
-    exactly the Fraction tableau serial phase 1 would leave (phase-1
-    pivot elements are positive, so the Bareiss scalar ``p`` stays
-    positive and all sign tests are direct).
-    """
-    count = len(problems)
-    rows = len(problems[0]._rhs)
-    stack = np.array(
-        [
-            [
-                [int(value) for value in row_values] + [int(right)]
-                for row_values, right in zip(p._matrix, p._rhs)
-            ]
-            for p in problems
-        ],
-        dtype=np.int64,
-    )
-    scalars = [1] * count
-    costs = [p._phase1_costs() for p in problems]
-    int_costs = np.array(
-        [[int(value) for value in cost] for cost in costs],
-        dtype=np.int64,
-    )
-    basis = [p._basis for p in problems]
-    columns = problems[0]._num_columns
-    active = list(range(count))
-    ok = [True] * count
-    while active:
-        act = np.array(active)
-        peak = int(np.abs(stack[act]).max())
-        if max(scalars[t] for t in active) + rows * peak >= _INT64_GUARD:
-            # Reduced-cost accumulation could wrap: eject the whole
-            # remainder of the group (rare; re-solved serially).
-            for t in active:
-                ok[t] = False
-            break
-        basic_costs = np.array(
-            [[int_costs[t][column] for column in basis[t]] for t in active],
-            dtype=np.int64,
-        )
-        reduced = (
-            int_costs[act] * np.array(
-                [scalars[t] for t in active], dtype=np.int64
-            )[:, None]
-            - np.einsum("tm,tmn->tn", basic_costs, stack[act, :, :-1])
-        )
-        pivot_tableaus = []
-        pivot_rows = []
-        pivot_columns = []
-        for k, t in enumerate(list(active)):
-            negative = np.nonzero(reduced[k] < 0)[0]
-            if not len(negative):
-                active.remove(t)
-                continue
-            entering = int(negative[0])
-            column = stack[t, :, entering]
-            right = stack[t, :, -1]
-            leaving = None
-            best_n = best_d = None
-            for r in range(rows):
-                denominator = int(column[r])
-                if denominator <= 0:
-                    continue
-                numerator = int(right[r])
-                if (
-                    leaving is None
-                    or numerator * best_d < best_n * denominator
-                    or (
-                        numerator * best_d == best_n * denominator
-                        and basis[t][r] < basis[t][leaving]
-                    )
-                ):
-                    best_n = numerator
-                    best_d = denominator
-                    leaving = r
-            if leaving is None:
-                # Phase 1 is bounded below by 0 — unreachable; eject
-                # so the serial path reports whatever it reports.
-                ok[t] = False
-                active.remove(t)
-                continue
-            pivot_tableaus.append(t)
-            pivot_rows.append(leaving)
-            pivot_columns.append(entering)
-        if not pivot_tableaus:
-            continue
-        safe = []
-        for t, r, c in zip(pivot_tableaus, pivot_rows, pivot_columns):
-            tableau_peak = int(np.abs(stack[t]).max())
-            if 2 * tableau_peak * tableau_peak >= _INT64_GUARD:
-                ok[t] = False
-                active.remove(t)
-            else:
-                safe.append((t, r, c))
-        if not safe:
-            continue
-        ids = np.array([t for t, _, _ in safe])
-        prow = np.array([r for _, r, _ in safe])
-        pcol = np.array([c for _, _, c in safe])
-        span = np.arange(len(ids))
-        pivot_values = stack[ids, prow, pcol].copy()
-        old_columns = stack[ids][span, :, pcol].copy()
-        old_rows = stack[ids, prow, :].copy()
-        scalar_vector = np.array(
-            [scalars[t] for t in ids], dtype=np.int64
-        )
-        block = stack[ids] * pivot_values[:, None, None]
-        block -= old_columns[:, :, None] * old_rows[:, None, :]
-        block //= scalar_vector[:, None, None]   # exact division
-        block[span, prow, :] = old_rows
-        stack[ids] = block
-        for t, r, c in safe:
-            scalars[t] = int(stack[t, r, c])
-            basis[t][r] = c
-            problems[t]._pivots += 1
-        if METRICS.enabled:
-            METRICS.counter("simplex.batch.pivots").inc(len(ids))
-    for t, problem in enumerate(problems):
-        if not ok[t]:
-            continue
-        p = scalars[t]
-        problem._matrix = [
-            [Fraction(int(value), p) for value in row_values[:-1]]
-            for row_values in stack[t]
-        ]
-        problem._rhs = [
-            Fraction(int(row_values[-1]), p) for row_values in stack[t]
-        ]
-    return ok
-
-
-def _finish_phase1(problem):
-    """Run a problem's post-phase-1 epilogue; return its witness.
-
-    Re-entering the serial phase-1 loop is a no-op continuation for
-    lockstep-finished tableaus (no reduced cost is negative); then
-    artificials are driven out, the trivial zero-objective phase 2
-    run, and the assignment extracted by the serial code — so the
-    outcome agrees with :func:`feasible_point` by construction.
-    """
-    phase1_costs = problem._phase1_costs()
-    status = problem._run_simplex(phase1_costs, allow_artificial=True)
-    if status != OPTIMAL or problem._objective_value(phase1_costs) > 0:
-        return None
-    problem._drive_out_artificials()
-    status = problem._run_simplex(
-        problem._phase2_costs(), allow_artificial=False
-    )
-    if status != OPTIMAL:
-        return None
-    if METRICS.enabled:
-        METRICS.counter("simplex.solves").inc()
-        METRICS.counter("simplex.pivots").inc(problem._pivots)
-        METRICS.histogram("simplex.pivots.per_solve").observe(
-            problem._pivots
-        )
-    return problem._extract_assignment()

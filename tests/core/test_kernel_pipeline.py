@@ -1,10 +1,10 @@
-"""Kernel selection through the analyzer: settings, batched per-SCC
-dispatch, and kernel-independent certificate fingerprints.
+"""Kernel selection through the analyzer: settings, the per-SCC stage
+trace, and kernel-independent certificate fingerprints.
 
 ``fm_kernel="array"`` is a pure accelerator — every verdict,
-certificate, and stage count must match the ``"int"`` run, the
-batched solve dispatch included.  Certificates are keyed without the
-kernel, so a cache warmed under one kernel serves the others.
+certificate, and stage count must match the ``"int"`` run.
+Certificates are keyed without the kernel, so a cache warmed under one
+kernel serves the others.
 """
 
 import pytest
@@ -12,16 +12,12 @@ import pytest
 from repro.errors import AnalysisError
 from repro.lp import parse_program
 from repro.core import (
-    AnalysisPipeline,
     AnalyzerSettings,
     MemoryCertificateCache,
     TerminationAnalyzer,
     clear_caches,
 )
 from repro.core.pipeline import resolve_settings
-from repro.linalg.array_kernel import numpy_available
-from repro.obs import METRICS
-from repro.solve import BatchLPBackend
 
 PERM = """
 perm([], []).
@@ -81,7 +77,7 @@ class TestKernelEquivalence:
         assert _certificate_view(from_array) == _certificate_view(from_int)
 
     def test_stage_totals_match(self):
-        """The batched dispatch must not change what the stages did:
+        """The array kernel must not change what the stages did:
         same calls, same rows, same pivot totals."""
         structural = ("calls", "rows_in", "rows_out", "pivots",
                       "eliminations")
@@ -97,33 +93,22 @@ class TestKernelEquivalence:
                     name, field)
 
 
-class TestBatchedDispatch:
-    def test_default_backend_is_batched(self):
-        pipeline = AnalysisPipeline(
-            parse_program(PERM), AnalyzerSettings()
-        )
-        assert isinstance(pipeline.backend, BatchLPBackend)
-
-    def test_array_run_dispatches_one_batch(self):
-        if not numpy_available():
-            pytest.skip("array kernel needs numpy >= 2.0")
-        previous = METRICS.set_enabled(True)
-        before = METRICS.snapshot()["counters"]
-        try:
-            result = _analyze("array")
-        finally:
-            after = METRICS.snapshot()["counters"]
-            METRICS.set_enabled(previous)
-        assert result.proved
-
-        def delta(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert delta("simplex.batch.dispatches") == 1
-        assert delta("simplex.batch.requests") == len(
-            [scc for scc in result.scc_results if scc.proof is None
-             or not scc.proof.trivially_nonrecursive]
-        )
+class TestSCCTrace:
+    def test_each_scc_span_holds_its_solve_and_certify(self):
+        """Every recursive SCC runs its own stages inside its ``scc``
+        span; no solve or certify stage sits directly under
+        ``analyze``."""
+        result = _analyze("int")
+        (analyze,) = result.trace.roots
+        sccs = [child for child in analyze.children if child.name == "scc"]
+        assert len(sccs) == 3
+        for scc in sccs:
+            names = [child.name for child in scc.children]
+            assert names.count("stage.solve") == 1
+            assert names.count("stage.certify") == 1
+        top = [child.name for child in analyze.children]
+        assert "stage.solve" not in top
+        assert "stage.certify" not in top
 
 
 class TestFingerprintKernelIndependence:

@@ -91,18 +91,6 @@ class TestAvailabilityGate:
         assert from_array.feasible == from_int.feasible
         assert from_array.witness == from_int.witness
 
-    def test_simplex_batch_degrades_to_serial(self, no_numpy,
-                                              fresh_metrics):
-        from repro.linalg.simplex import feasible_point_batch, solve_lp
-
-        systems = [SYSTEM, SYSTEM]
-        batched = feasible_point_batch(systems, kernel="array")
-        serial = solve_lp(LinearExpr.constant(0), SYSTEM).assignment
-        assert batched == [serial, serial]
-        assert _counter_delta(
-            fresh_metrics, "simplex.batch.serial_fallbacks"
-        ) == 1
-
 
 class TestOverflowGate:
     def test_oversized_input_coefficients_fall_back(self, fresh_metrics):

@@ -24,7 +24,7 @@ from repro.linalg.fourier_motzkin import (
     eliminate_all_tracked,
 )
 from repro.linalg.linexpr import LinearExpr
-from repro.linalg.simplex import OPTIMAL, feasible_point_batch, solve_lp
+from repro.linalg.simplex import solve_lp
 from repro.solve import get_backend
 
 from tests.property.strategies import constraint_systems
@@ -112,21 +112,6 @@ def test_simplex_array_tableau_identical(system):
     assert from_array.value == from_int.value
     assert from_array.assignment == from_int.assignment
     assert from_array.pivots == from_int.pivots
-
-
-@given(st.lists(constraint_systems(POOL), min_size=2, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_batched_solves_match_serial(systems):
-    """Lockstep multi-tableau dispatch returns exactly the witnesses
-    a serial loop over ``solve_lp`` produces, in order."""
-    batched = feasible_point_batch(systems, kernel="array")
-    objective = LinearExpr.constant(0)
-    for system, witness in zip(systems, batched):
-        serial = solve_lp(objective, system, kernel="array")
-        if serial.status == OPTIMAL:
-            assert witness == serial.assignment
-        else:
-            assert witness is None
 
 
 @needs_numpy
