@@ -23,7 +23,9 @@ Two interchangeable execution paths compute every projection:
 Redundancy control: syntactic normalization + de-duplication happens in
 :class:`~repro.linalg.constraints.Constraint`, and
 :func:`prune_redundant` offers quick pairwise-dominance pruning plus an
-optional exact LP-based pass (used by the ablation benchmarks).
+optional exact LP-based pass.  The LP pass tests each row against the
+others with an affine-Farkas entailment LP (one row per variable; see
+:mod:`repro.linalg.simplex`), after deciding emptiness once.
 """
 
 from __future__ import annotations
@@ -347,9 +349,10 @@ def eliminate_all_tracked(
         result = tracked_project(system, variables, max_rows=max_rows)
     else:
         result = _reference_tracked(system, variables, max_rows)
-    # The exact LP prune is quadratic in rows x simplex cost; only tidy
-    # results that are already small (the quadratic pass on a big
-    # system would dominate everything else).
+    # The exact LP prune costs one emptiness LP plus one Farkas LP per
+    # row, each LP with one row per variable and one column per
+    # surviving row; only tidy results that are already small (the
+    # pass on a big system would dominate everything else).
     if final_lp_prune and 1 < len(result) <= 60:
         result = (
             _prune_with_lp(result) if pre_pruned
@@ -448,8 +451,8 @@ def prune_redundant(system, use_lp=False):
     ``e + c1 >= 0`` is dropped when another row ``e + c0 >= 0`` with
     ``c0 <= c1`` exists (same linear part, weaker constant).  With
     ``use_lp=True``, additionally removes every inequality implied by
-    the others (exact, via simplex) — quadratic in system size but
-    yields an irredundant description.
+    the others (exact: one small LP per row, see :func:`_prune_with_lp`)
+    and yields an irredundant description.
     """
     by_linear_part = {}
     equalities = []
@@ -477,13 +480,18 @@ def _prune_with_lp(system):
 
     Rows are tentatively removed in order; a candidate is tested
     against the rows still alive (removed rows stay removed, rows
-    already proven necessary are never rebuilt or re-tested), and the
-    simplex sees a plain constraint list — no per-candidate
-    :class:`ConstraintSystem` re-normalization.
+    already proven necessary are never re-tested).  Emptiness is
+    decided once up front: dropping rows keeps a non-empty system
+    non-empty, so every candidate then costs one affine-Farkas LP
+    (:func:`~repro.linalg.simplex.entails_nonempty`) with one row per
+    variable, not one per constraint.  Only an empty input goes
+    through :func:`~repro.linalg.simplex.entails`, which re-decides
+    emptiness as rows drop out.
     """
-    from repro.linalg.simplex import entails
+    from repro.linalg.simplex import entails, entails_nonempty, is_feasible
 
     rows = list(system)
+    implied = entails_nonempty if is_feasible(rows) else entails
     alive = [True] * len(rows)
     for position, candidate in enumerate(rows):
         if candidate.is_equality():
@@ -492,7 +500,7 @@ def _prune_with_lp(system):
         others = [
             row for index, row in enumerate(rows) if alive[index]
         ]
-        if not entails(others, candidate):
+        if not implied(others, candidate):
             alive[position] = True
     return ConstraintSystem(
         row for index, row in enumerate(rows) if alive[index]

@@ -11,7 +11,7 @@ dimensions.  Operations:
   construction with mixing multipliers, projected by FM),
 - ``widen`` — standard constraint-dropping widening so fixpoints
   terminate,
-- ``entails`` / ``equivalent`` — exact, via simplex.
+- ``entails`` / ``equivalent`` — exact, via affine-Farkas LPs.
 
 A polyhedron stores its dimension list explicitly; auxiliary variables
 introduced during construction must be projected away by the caller.
@@ -28,14 +28,9 @@ from repro.linalg.fourier_motzkin import (
     prune_redundant,
 )
 from repro.linalg.linexpr import LinearExpr
-from repro.linalg.simplex import entails as lp_entails, is_feasible
+from repro.linalg.simplex import entails_nonempty, is_feasible
 
 _hull_counter = itertools.count(1)
-
-#: Row-count threshold beyond which Fourier–Motzkin projections inside
-#: polyhedron operations run exact LP-based redundancy pruning.  Keeps
-#: repeated convex hulls (fixpoint iteration) polynomial in practice.
-LP_PRUNE_THRESHOLD = 24
 
 
 class Polyhedron:
@@ -104,9 +99,9 @@ class Polyhedron:
         # Fast path: a row we literally contain is entailed (rows are
         # canonically normalized, so hashing catches scaled variants).
         """Does every point satisfy *constraint*?"""
-        if constraint in self.system:
+        if constraint in self.system or self.is_empty():
             return True
-        return lp_entails(self.system, constraint)
+        return entails_nonempty(self.system, constraint)
 
     def entails(self, other):
         """True if self is a subset of *other* (same dimensions)."""

@@ -8,7 +8,14 @@ Fourier–Motzkin, but we also need a numeric LP solver for
 - independent verification of termination certificates via the *primal*
   problem Eq. 4 ("minimize lambda^T x - lambda^T y subject to Eq. 1"),
 - polyhedron emptiness / entailment in inter-argument inference,
-- exact LP-based redundancy pruning (ablation).
+- exact LP-based redundancy pruning.
+
+Emptiness (:func:`is_feasible`) and entailment (:func:`entails`,
+:func:`entails_nonempty`) are decided on the multiplier side, by the
+same affine Farkas lemma the paper uses for Eqs. 5-9: one feasibility
+LP with one row per variable plus one, whatever the number of
+constraints (the inter-argument systems have many rows over few
+variables).
 
 Everything is :class:`fractions.Fraction` arithmetic with Bland's rule,
 so the solver is exact and cannot cycle.
@@ -27,7 +34,7 @@ from fractions import Fraction
 from math import gcd
 
 from repro.errors import InfeasibleError, UnboundedError
-from repro.linalg.constraints import Constraint, ConstraintSystem
+from repro.linalg.constraints import EQ, Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.obs import METRICS
 
@@ -127,11 +134,15 @@ def solve_lp(objective, constraints, sense="min", nonnegative=(),
 
 
 def is_feasible(constraints, nonnegative=()):
-    """True if the constraint system has a solution."""
-    result = solve_lp(
-        LinearExpr.constant(0), constraints, nonnegative=nonnegative
+    """True if the constraint system has a solution.
+
+    Decided on the multiplier side: the system is empty exactly when
+    some combination of its rows reads ``b >= 0`` with ``b <= -1``
+    (see :func:`_farkas_combination`).
+    """
+    return not _farkas_combination(
+        list(constraints), nonnegative, LinearExpr.constant(-1)
     )
-    return result.status == OPTIMAL
 
 
 def feasible_point(constraints, nonnegative=()):
@@ -155,21 +166,74 @@ def minimum(objective, constraints, nonnegative=()):
 def entails(constraints, candidate, nonnegative=()):
     """Does *constraints* imply *candidate* (a Constraint)?
 
-    ``expr >= 0`` is entailed iff the minimum of ``expr`` over the
-    system is >= 0 (an infeasible system entails everything).  An
-    equality is entailed iff both defining inequalities are.
+    An empty system implies everything.  A Farkas certificate
+    (:func:`entails_nonempty`) proves the implication whether or not
+    the system is empty, so it is tried first and emptiness is decided
+    only when it fails.
     """
-    if candidate.is_equality():
-        lower, upper = candidate.as_inequalities()
-        return entails(constraints, lower, nonnegative) and entails(
-            constraints, upper, nonnegative
+    rows = list(constraints)
+    return entails_nonempty(rows, candidate, nonnegative) or not (
+        is_feasible(rows, nonnegative)
+    )
+
+
+def entails_nonempty(constraints, candidate, nonnegative=()):
+    """:func:`entails` for a system the caller knows to be non-empty.
+
+    By the affine Farkas lemma a non-empty system implies
+    ``c.x + c0 >= 0`` exactly when the rows combine to it: some
+    multipliers give ``c.x + b`` with ``b <= c0``.  An equality is
+    entailed iff both defining inequalities are.
+    """
+    rows = list(constraints)
+    return all(
+        _farkas_combination(rows, nonnegative, half.expr)
+        for half in candidate.as_inequalities()
+    )
+
+
+def _farkas_combination(rows, nonnegative, target):
+    """Do *rows* combine to ``c.x + b`` with ``b <= c0``?
+
+    ``target`` is ``c.x + c0``.  The rows are ``a_i.x + b_i >= 0`` and
+    ``a_j.x + b_j = 0``, plus ``x_k >= 0`` for every *nonnegative*
+    variable.  The question is one feasibility LP over the multipliers
+    ``l`` (``>= 0`` on inequality rows, free on equalities)::
+
+        sum_i l_i a_i  = c          (one equality per variable)
+        sum_i l_i b_i <= c0
+
+    — one row per variable plus one, however many rows the system
+    has.  ``target = -1`` asks for ``0.x + b`` with ``b <= -1``: a
+    proof that the system is empty.
+    """
+    if nonnegative == "all":
+        nonnegative = set(target.variables()).union(
+            *(row.variables() for row in rows)
         )
-    result = solve_lp(candidate.expr, constraints, nonnegative=nonnegative)
-    if result.status == INFEASIBLE:
-        return True
-    if result.status == UNBOUNDED:
-        return False
-    return result.value >= 0
+    rows = rows + [
+        Constraint._from_canonical(LinearExpr.of(var)) for var in nonnegative
+    ]
+    columns = {var: {} for var in target.variables()}
+    bound = {}
+    signed = []
+    for i, row in enumerate(rows):
+        for var, coeff in row.expr.items():
+            columns.setdefault(var, {})[i] = coeff
+        bound[i] = -row.expr.const
+        if not row.is_equality():
+            signed.append(i)
+    # The LP rows never leave this function: they skip canonical
+    # scaling, which the solver does not need.
+    lp = [
+        Constraint._from_canonical(
+            LinearExpr(column, -target.coefficient(var)), EQ
+        )
+        for var, column in columns.items()
+    ]
+    lp.append(Constraint._from_canonical(LinearExpr(bound, target.const)))
+    result = solve_lp(LinearExpr.constant(0), lp, nonnegative=signed)
+    return result.status == OPTIMAL
 
 
 class _StandardForm:

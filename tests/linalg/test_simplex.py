@@ -12,6 +12,7 @@ from repro.linalg.simplex import (
     OPTIMAL,
     UNBOUNDED,
     entails,
+    entails_nonempty,
     feasible_point,
     is_feasible,
     minimum,
@@ -178,6 +179,95 @@ class TestHelpers:
     def test_infeasible_entails_everything(self):
         system = [Constraint.ge(x(), 1), Constraint.le(x(), 0)]
         assert entails(system, Constraint.ge(x(), 100))
+
+
+def ge(expr):
+    return Constraint.ge(expr)
+
+
+def const(value):
+    return LinearExpr.constant(value)
+
+
+class TestFarkasEntailment:
+    """Entailment and emptiness decided on the multiplier side."""
+
+    def test_infeasible_without_a_contradiction_row(self):
+        # x >= 1 and -x >= 0: no row is contradictory on its own.
+        system = [Constraint.ge(x(), 1), ge(-x())]
+        assert not any(row.is_contradiction() for row in system)
+        assert not is_feasible(system)
+        assert entails(system, Constraint.ge(y(), 100))
+        assert entails(system, Constraint.eq(x() + y(), 7))
+        assert entails(system, ge(const(-1)))
+
+    def test_candidate_variable_no_row_mentions(self):
+        system = [ge(x())]
+        assert not entails(system, ge(y()))
+        assert not entails(system, ge(x() + y()))
+        assert not entails_nonempty(system, Constraint.eq(y(), 0))
+        # ... unless the system is empty.
+        assert entails(system + [Constraint.le(x(), -1)], ge(y()))
+
+    def test_equality_rows_take_free_multipliers(self):
+        # x - y = 0 is stored with a positive first coefficient; y >= x
+        # needs the multiplier -1 on it.
+        system = [Constraint.eq(x(), y()), Constraint.ge(y(), 2)]
+        assert entails(system, Constraint.ge(y(), x()))
+        assert entails(system, Constraint.ge(x(), y()))
+        assert entails(system, Constraint.ge(x(), 2))
+        assert not entails(system, Constraint.ge(x(), 3))
+        assert not entails(system, Constraint.le(x(), 2))
+
+    def test_equality_candidates(self):
+        system = [Constraint.eq(x(), y()), Constraint.eq(y(), 3)]
+        assert entails(system, Constraint.eq(x(), 3))
+        assert entails(system, Constraint.eq(x() * 2, y() + 3))
+        assert not entails(system, Constraint.eq(x(), 4))
+        # One direction holds, the other does not.
+        assert not entails([Constraint.ge(x(), 3)], Constraint.eq(x(), 3))
+
+    def test_constant_candidates(self):
+        system = [ge(x())]
+        assert entails(system, ge(const(0)))
+        assert entails(system, ge(const(5)))
+        assert entails(system, Constraint.eq(const(0), 0))
+        assert not entails(system, ge(const(-1)))
+        assert not entails(system, Constraint.eq(const(2), 0))
+
+    def test_zero_row_system(self):
+        assert is_feasible([])
+        assert is_feasible(ConstraintSystem())
+        assert entails([], ge(const(0)))
+        assert not entails([], ge(const(-1)))
+        assert not entails([], ge(x()))
+        assert not entails([], Constraint.eq(x(), 0))
+
+    def test_nonnegative_variables_become_rows(self):
+        assert entails([], ge(x()), nonnegative=["x"])
+        assert not entails([], ge(y()), nonnegative=["x"])
+        assert entails([], ge(x() + y()), nonnegative="all")
+        # x + y <= 1 bounds x only when y >= 0.
+        system = [Constraint.le(x() + y(), 1)]
+        assert entails(system, Constraint.le(x(), 1), nonnegative="all")
+        assert not entails(system, Constraint.le(x(), 1))
+        assert entails(system, Constraint.le(x(), 1), nonnegative=["y"])
+        # x <= -1 is satisfiable, but not with x >= 0.
+        assert is_feasible([Constraint.le(x(), -1)])
+        assert not is_feasible([Constraint.le(x(), -1)], nonnegative=["x"])
+        assert not is_feasible([Constraint.le(x(), -1)], nonnegative="all")
+
+    def test_entails_nonempty_matches_entails_on_feasible_systems(self):
+        system = [Constraint.ge(x(), 1), Constraint.ge(y(), x())]
+        for candidate in (
+            Constraint.ge(y(), 1),
+            Constraint.ge(y(), 2),
+            Constraint.ge(x() + y(), 2),
+            Constraint.eq(x(), 1),
+        ):
+            assert entails(system, candidate) == entails_nonempty(
+                system, candidate
+            )
 
 
 class TestAgainstScipy:

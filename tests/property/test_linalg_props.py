@@ -8,6 +8,9 @@ Invariants:
 - the tracked (Chernikov) elimination agrees with plain FM;
 - the simplex agrees with brute-force checks and satisfies weak/strong
   duality on random instances;
+- the multiplier-side (affine Farkas) entailment and emptiness tests
+  agree with a primal minimization oracle, and the LP redundancy prune
+  keeps exactly the rows a greedy pass driven by that oracle keeps;
 - polyhedron joins are upper bounds and widening over-approximates.
 """
 
@@ -25,11 +28,20 @@ from repro.linalg.fourier_motzkin import (
 )
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.polyhedron import Polyhedron
-from repro.linalg.simplex import OPTIMAL, feasible_point, is_feasible, solve_lp
+from repro.linalg.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    entails,
+    feasible_point,
+    is_feasible,
+    solve_lp,
+)
 
 from tests.property.strategies import (
     assignments,
     constraint_systems,
+    constraints,
     linear_exprs,
 )
 
@@ -157,3 +169,64 @@ def test_widen_over_approximates_newer(first, second):
     widened = old.widen(grown)
     assert grown.entails(widened)
     assert old.entails(widened)
+
+
+def _primal_entails(system, candidate, nonnegative=()):
+    """Oracle: the minimum of each half of *candidate* over *system* is
+    >= 0, or the system is infeasible."""
+    for half in candidate.as_inequalities():
+        result = solve_lp(half.expr, system, nonnegative=nonnegative)
+        if result.status == INFEASIBLE:
+            return True
+        if result.status == UNBOUNDED or result.value < 0:
+            return False
+    return True
+
+
+@st.composite
+def systems_with_infeasible(draw, pool=POOL):
+    """Random systems, a third of them made empty by ``e >= 1`` and
+    ``-e >= 0`` for a random ``e`` (a contradiction no single row
+    states unless ``e`` is constant)."""
+    system = draw(constraint_systems(pool))
+    if draw(st.integers(0, 2)) == 0:
+        expr = draw(linear_exprs(pool))
+        system = ConstraintSystem(system)
+        system.add(Constraint.ge(expr, 1))
+        system.add(Constraint.ge(-expr))
+    return system
+
+
+@given(
+    systems_with_infeasible(),
+    constraints(POOL + ("w",)),
+    st.sampled_from([(), ("x",), ("y", "w"), "all"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_farkas_entailment_matches_primal_oracle(system, candidate,
+                                                 nonnegative):
+    feasible = solve_lp(
+        LinearExpr.constant(0), system, nonnegative=nonnegative
+    ).status != INFEASIBLE
+    assert is_feasible(system, nonnegative=nonnegative) == feasible
+    assert entails(system, candidate, nonnegative=nonnegative) == (
+        _primal_entails(system, candidate, nonnegative)
+    )
+
+
+@given(systems_with_infeasible())
+@settings(max_examples=100, deadline=None)
+def test_lp_prune_matches_oracle_driven_greedy_pass(system):
+    expected = list(prune_redundant(system))
+    alive = [True] * len(expected)
+    for position, candidate in enumerate(expected):
+        if candidate.is_equality():
+            continue
+        alive[position] = False
+        others = [
+            row for index, row in enumerate(expected) if alive[index]
+        ]
+        if not _primal_entails(others, candidate):
+            alive[position] = True
+    expected = [row for row, keep in zip(expected, alive) if keep]
+    assert list(prune_redundant(system, use_lp=True)) == expected
