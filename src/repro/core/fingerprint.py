@@ -46,8 +46,6 @@ order renders the identical canonical text.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.lp.program import BUILTIN_PREDICATES
 from repro.lp.terms import Struct, Var
 
@@ -66,6 +64,10 @@ CERT_KEY_PREFIX = "scc1:"
 
 
 def _digest(text):
+    # Imported here: hashlib loads libcrypto (several MB of RSS), and
+    # digests are taken only when a certificate cache is installed.
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

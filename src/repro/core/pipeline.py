@@ -140,6 +140,17 @@ _STAGE_COUNTERS = (
 #: Span-name prefix marking the spans stage totals are derived from.
 _STAGE_SPAN_PREFIX = "stage."
 
+#: Stage name -> its span name, built once per stage rather than once
+#: per span (a pass retains hundreds of stage spans).
+_STAGE_SPAN_NAMES = {}
+
+
+def _stage_span_name(stage):
+    name = _STAGE_SPAN_NAMES.get(stage)
+    if name is None:
+        name = _STAGE_SPAN_NAMES[stage] = _STAGE_SPAN_PREFIX + stage
+    return name
+
 
 class AnalysisTrace:
     """Per-stage instrumentation for one (or several merged) analyses.
@@ -175,18 +186,14 @@ class AnalysisTrace:
         """Context manager timing one execution of *stage*; the yielded
         :class:`StageTrace` collects the stage's counters."""
         event = StageTrace(stage=stage, calls=1)
-        with self.tracer.span(
-            _STAGE_SPAN_PREFIX + stage, stage=stage
-        ) as node:
+        with self.tracer.span(_stage_span_name(stage), stage=stage) as node:
             try:
                 yield event
             finally:
                 for name in _STAGE_COUNTERS:
                     value = getattr(event, name)
                     if value:
-                        node.counters[name] = (
-                            node.counters.get(name, 0) + value
-                        )
+                        node.inc(name, value)
 
     def stage(self, name):
         """The accumulated :class:`StageTrace` for *name*, derived

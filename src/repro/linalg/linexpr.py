@@ -14,11 +14,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+#: One shared (immutable) Fraction per small integer: most coefficients
+#: of the analyzer's systems are small integers, and expressions are
+#: built and retained by the thousand.
+_SMALL_INTEGERS = {n: Fraction(n) for n in range(-128, 129)}
+_ZERO = _SMALL_INTEGERS[0]
+
+
+def _integer_fraction(value):
+    """``Fraction(value)`` for an int, shared when *value* is small."""
+    shared = _SMALL_INTEGERS.get(value)
+    return Fraction(value) if shared is None else shared
+
+
 def _to_fraction(value):
     if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _SMALL_INTEGERS.get(value.numerator, value)
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return _integer_fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
@@ -73,9 +88,23 @@ class LinearExpr:
         object.__setattr__(
             self,
             "_coefficients",
-            {var: Fraction(c) for var, c in coefficients.items()},
+            {var: _integer_fraction(c) for var, c in coefficients.items()},
         )
-        object.__setattr__(self, "_constant", Fraction(constant))
+        object.__setattr__(self, "_constant", _integer_fraction(constant))
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_variables", None)
+        return self
+
+    @classmethod
+    def _from_fractions(cls, coefficients, constant):
+        """Internal: wrap ``{var: Fraction}`` / ``Fraction`` data as is.
+
+        The caller guarantees nonzero Fraction coefficients; the dict
+        is adopted, not copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coefficients", coefficients)
+        object.__setattr__(self, "_constant", constant)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_variables", None)
         return self
@@ -89,7 +118,7 @@ class LinearExpr:
 
     def coefficient(self, var):
         """The coefficient of *var* (0 if absent)."""
-        return self._coefficients.get(var, Fraction(0))
+        return self._coefficients.get(var, _ZERO)
 
     def variables(self):
         """The set of variables with non-zero coefficient (cached)."""

@@ -17,8 +17,11 @@ LP with one row per variable plus one, whatever the number of
 constraints (the inter-argument systems have many rows over few
 variables).
 
-Everything is :class:`fractions.Fraction` arithmetic with Bland's rule,
-so the solver is exact and cannot cycle.
+The solver is exact and uses Bland's rule, so it cannot cycle.  The
+``int`` kernel pivots a fraction-free tableau of Python ints
+(:class:`_IntStandardForm`); the ``reference`` kernel keeps the
+:class:`fractions.Fraction` tableau (:class:`_StandardForm`), and both
+take the same pivots.
 
 Conventions
 -----------
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm as _lcm
 
 from repro.errors import InfeasibleError, UnboundedError
 from repro.linalg.constraints import EQ, Constraint, ConstraintSystem
@@ -70,17 +73,26 @@ class LPResult:
 def _make_tableau(objective, rows, sense, nonnegative, kernel=None):
     """The tableau implementation the resolved kernel selects.
 
-    ``kernel="array"`` uses the fraction-free int64 numpy tableau with
-    whole-matrix pivot updates when numpy is importable; otherwise
-    (and for ``"int"``/``"reference"``) the Fraction list-of-lists
-    tableau runs.  The pivot sequence — and therefore every verdict,
-    witness, and dual — is identical either way: Bland's selections
-    are reproduced exactly from integer signs and cross-multiplied
-    ratio tests.
+    ``"int"`` runs the fraction-free Python-int tableau
+    (:class:`_IntStandardForm`); ``"reference"`` runs the Fraction
+    list-of-lists tableau (:class:`_StandardForm`), the oracle the
+    other two are checked against; ``"array"`` runs the int64 numpy
+    tableau when numpy is importable and the Fraction tableau
+    otherwise.  The pivot sequence — and therefore every verdict,
+    witness, value and dual — is identical in all of them: Bland's
+    selections are reproduced exactly from integer signs and
+    cross-multiplied ratio tests.
     """
-    from repro.linalg.fourier_motzkin import KERNEL_ARRAY, _validate_kernel
+    from repro.linalg.fourier_motzkin import (
+        KERNEL_ARRAY,
+        KERNEL_INT,
+        _validate_kernel,
+    )
 
-    if _validate_kernel(kernel) == KERNEL_ARRAY:
+    kernel = _validate_kernel(kernel)
+    if kernel == KERNEL_INT:
+        return _IntStandardForm(objective, rows, sense, nonnegative)
+    if kernel == KERNEL_ARRAY:
         from repro.linalg.array_kernel import (
             ArrayKernelUnavailable,
             numpy_available,
@@ -114,8 +126,9 @@ def solve_lp(objective, constraints, sense="min", nonnegative=(),
         Iterable of variable names constrained to be >= 0, or the
         string ``"all"``.
     kernel:
-        ``None`` (follow the process default), ``"int"``,
-        ``"reference"``, or ``"array"`` (numpy tableau, exact).
+        ``None`` (follow the process default), ``"int"`` (fraction-free
+        integer tableau), ``"reference"`` (Fraction tableau) or
+        ``"array"`` (numpy tableau); all exact, all pivot alike.
     """
     if isinstance(constraints, ConstraintSystem):
         rows = list(constraints)
@@ -218,20 +231,33 @@ def _farkas_combination(rows, nonnegative, target):
     bound = {}
     signed = []
     for i, row in enumerate(rows):
-        for var, coeff in row.expr.items():
-            columns.setdefault(var, {})[i] = coeff
-        bound[i] = -row.expr.const
+        expr = row.expr
+        terms = expr._coefficients
+        fresh = [var for var in terms if var not in columns]
+        if fresh:
+            # LP rows in the order a sorted walk of the rows meets
+            # their variables.
+            for var in sorted(fresh, key=repr):
+                columns[var] = {}
+        for var, coeff in terms.items():
+            columns[var][i] = coeff
+        if expr.const:
+            bound[i] = -expr.const
         if not row.is_equality():
             signed.append(i)
     # The LP rows never leave this function: they skip canonical
-    # scaling, which the solver does not need.
-    lp = [
-        Constraint._from_canonical(
-            LinearExpr(column, -target.coefficient(var)), EQ
-        )
-        for var, column in columns.items()
-    ]
-    lp.append(Constraint._from_canonical(LinearExpr(bound, target.const)))
+    # scaling, which the solver does not need, and their coefficients
+    # are already nonzero Fractions.
+    lp = []
+    for var, column in columns.items():
+        coeff = target.coefficient(var)
+        lp.append(Constraint._from_canonical(
+            LinearExpr._from_fractions(column, -coeff if coeff else coeff),
+            EQ,
+        ))
+    lp.append(Constraint._from_canonical(
+        LinearExpr._from_fractions(bound, target.const)
+    ))
     result = solve_lp(LinearExpr.constant(0), lp, nonnegative=signed)
     return result.status == OPTIMAL
 
@@ -492,6 +518,266 @@ class _StandardForm:
             )
             duals[i] = factor * self._row_sign[i] * y
         return duals
+
+
+def _bareiss(row, pivot_row, pivot_value, divisor, pivot_column):
+    """*row* after one fraction-free pivot (see :class:`_IntStandardForm`)."""
+    factor = row[pivot_column]
+    if not factor:
+        if pivot_value == divisor:
+            return row
+        return [value * pivot_value // divisor for value in row]
+    return [
+        (value * pivot_value - factor * pivot) // divisor
+        for value, pivot in zip(row, pivot_row)
+    ]
+
+
+class _IntStandardForm:
+    """Fraction-free integer tableau on Python ints (the ``int`` kernel).
+
+    Same column layout, initial basis and Bland selections as
+    :class:`_StandardForm`, but every entry is a Python int.  The
+    tableau is kept as ``A = p * T``, where ``T`` is the Fraction
+    tableau and ``p`` the determinant of the current basis columns
+    (Bareiss).
+    A pivot on ``(r, c)`` with ``a = A[r][c]`` is::
+
+        A[i] <- (a * A[i] - A[i][c] * A[r]) // p    (i != r, exact)
+        p    <- a                                   (A[r] unchanged)
+
+    Python ints do not overflow, so there is no guard and no fallback.
+
+    The rows are built straight from the constraints.  A row whose
+    coefficients or constant have denominators is scaled by their LCM
+    ``L_i`` — its slack and artificial entries too — and ``p`` starts
+    at the product of the ``L_i`` instead of 1, so ``A / p`` is the
+    Fraction tableau throughout and values and duals come out
+    unscaled.
+
+    The phase-1 and phase-2 objectives are two more rows, updated by
+    every pivot: ``p * s * (c - c_B T)`` for the costs ``c`` scaled by
+    a positive integer ``s``, with ``-p * s * z`` in the right-hand
+    column.  Entering and leaving columns are chosen from their signs
+    (relative to the sign of ``p``) and from cross-multiplied ratios,
+    exactly as :class:`_StandardForm` chooses them from Fractions, so
+    the pivot sequence is the same.
+    """
+
+    def __init__(self, objective, rows, sense, nonnegative):
+        self._objective = objective
+        names = set(objective.variables())
+        for row in rows:
+            names |= row.variables()
+        self._variables = sorted(names, key=repr)
+        if nonnegative != "all":
+            names = set(nonnegative)
+
+        # Columns: each variable (a +/- pair unless nonnegative), one
+        # slack per inequality row, one artificial per row, then the
+        # right-hand side.
+        self._var_columns = var_columns = {}
+        width = 0
+        for var in self._variables:
+            if var in names:
+                var_columns[var] = (width, None)
+                width += 1
+            else:
+                var_columns[var] = (width, width + 1)
+                width += 2
+        slacks = []
+        for row in rows:
+            if row.is_equality():
+                slacks.append(None)
+            else:
+                slacks.append(width)
+                width += 1
+        self._first_artificial = width
+        self._rhs = rhs = width + len(rows)
+
+        tableau = []
+        basis = []
+        self._row_sign = []
+        scales = []
+        for i, row in enumerate(rows):
+            terms = row.expr._coefficients
+            const = row.expr.const
+            scale = const.denominator
+            for coeff in terms.values():
+                if coeff.denominator != 1:
+                    scale = _lcm(scale, coeff.denominator)
+            line = [0] * (rhs + 1)
+            for var, coeff in terms.items():
+                value = coeff.numerator
+                if scale != 1:
+                    value *= scale // coeff.denominator
+                plus, minus = var_columns[var]
+                line[plus] = value
+                if minus is not None:
+                    line[minus] = -value
+            right = -const.numerator * (scale // const.denominator)
+            slack = slacks[i]
+            if slack is not None:
+                line[slack] = -scale
+            sign = 1
+            if right < 0:
+                line = [-value for value in line]
+                right = -right
+                sign = -1
+            line[width + i] = scale
+            line[rhs] = right
+            tableau.append(line)
+            scales.append(scale)
+            self._row_sign.append(sign)
+            # The slack starts basic where it enters with +1.
+            if slack is not None and sign < 0:
+                basis.append(slack)
+            else:
+                basis.append(width + i)
+        divisor = 1
+        for scale in scales:
+            divisor *= scale
+        if divisor != 1:
+            tableau = [
+                [value * (divisor // scale) for value in line]
+                for line, scale in zip(tableau, scales)
+            ]
+        self._tableau = tableau
+        self._basis = basis
+        self._p = divisor
+        self._pivots = 0
+
+        # Phase 1: cost 1 on every artificial column.
+        phase1 = [0] * width + [divisor] * len(rows) + [0]
+        for line, column in zip(tableau, basis):
+            if column >= width:
+                phase1 = [c - v for c, v in zip(phase1, line)]
+        # Phase 2: the objective (negated for max), scaled to ints.  The
+        # starting basis holds no variable column, so c_B is 0.
+        self._factor = Fraction(1) if sense == "min" else Fraction(-1)
+        scale = 1
+        for _, coeff in objective.items():
+            scale = _lcm(scale, coeff.denominator)
+        self._cost_scale = scale
+        phase2 = [0] * (rhs + 1)
+        for var, coeff in objective.items():
+            cost = self._factor * coeff * scale * divisor
+            plus, minus = var_columns[var]
+            phase2[plus] += int(cost)
+            if minus is not None:
+                phase2[minus] -= int(cost)
+        self._costs = [phase1, phase2]
+
+    # -- pivoting -----------------------------------------------------------------
+
+    def _pivot(self, pivot_row, pivot_column):
+        tableau = self._tableau
+        row = tableau[pivot_row]
+        value = row[pivot_column]
+        divisor = self._p
+        for r, other in enumerate(tableau):
+            if r != pivot_row:
+                tableau[r] = _bareiss(
+                    other, row, value, divisor, pivot_column
+                )
+        costs = self._costs
+        for k, other in enumerate(costs):
+            costs[k] = _bareiss(other, row, value, divisor, pivot_column)
+        self._p = value
+        self._basis[pivot_row] = pivot_column
+        self._pivots += 1
+
+    def _run_simplex(self, limit):
+        """Bland's rule on the first cost row over columns ``< limit``;
+        returns 'optimal' or 'unbounded'."""
+        tableau, basis, rhs = self._tableau, self._basis, self._rhs
+        while True:
+            reduced = self._costs[0]
+            positive = self._p > 0
+            # A reduced cost is negative when its sign is opposite p's.
+            if positive:
+                entering = next(
+                    (j for j in range(limit) if reduced[j] < 0), None
+                )
+            else:
+                entering = next(
+                    (j for j in range(limit) if reduced[j] > 0), None
+                )
+            if entering is None:
+                return OPTIMAL
+            # Every candidate entry shares p's sign, so comparing the
+            # cross products compares the ratios rhs / entry.
+            leaving = None
+            for r, line in enumerate(tableau):
+                entry = line[entering]
+                if not entry or (entry > 0) != positive:
+                    continue
+                if leaving is None:
+                    leaving, best_rhs, best_entry = r, line[rhs], entry
+                    continue
+                left = line[rhs] * best_entry
+                right = best_rhs * entry
+                if left < right or (
+                    left == right and basis[r] < basis[leaving]
+                ):
+                    leaving, best_rhs, best_entry = r, line[rhs], entry
+            if leaving is None:
+                return UNBOUNDED
+            self._pivot(leaving, entering)
+
+    def _drive_out_artificials(self):
+        """After phase 1, pivot artificials out of the basis when
+        possible; rows where it is impossible are redundant (all-zero)."""
+        first = self._first_artificial
+        for r in range(len(self._tableau)):
+            if self._basis[r] < first:
+                continue
+            line = self._tableau[r]
+            for j in range(first):
+                if line[j]:
+                    self._pivot(r, j)
+                    break
+
+    # -- solve --------------------------------------------------------------------
+
+    def solve(self):
+        """Run phase 1 and phase 2; return an LPResult."""
+        status = self._run_simplex(self._rhs)
+        # The phase-1 optimum is -phase1[rhs] / p; positive means
+        # infeasible.
+        value = self._costs[0][self._rhs]
+        if status != OPTIMAL or (value and (value < 0) == (self._p > 0)):
+            return LPResult(status=INFEASIBLE, pivots=self._pivots)
+        del self._costs[0]
+        self._drive_out_artificials()
+        status = self._run_simplex(self._first_artificial)
+        if status == UNBOUNDED:
+            return LPResult(status=UNBOUNDED, pivots=self._pivots)
+
+        p, rhs = self._p, self._rhs
+        column_values = {
+            column: line[rhs] for column, line in zip(self._basis, self._tableau)
+        }
+        assignment = {}
+        for var in self._variables:
+            plus, minus = self._var_columns[var]
+            value = column_values.get(plus, 0)
+            if minus is not None:
+                value -= column_values.get(minus, 0)
+            assignment[var] = Fraction(value, p)
+        # y_i = c_B . (B^-1 e_i) = -(reduced cost of artificial i), read
+        # off the phase-2 row; adjusted for row sign normalization and
+        # for sense=max (where the tableau minimizes the negation).
+        reduced = self._costs[0]
+        denominator = p * self._cost_scale
+        duals = {}
+        for i, sign in enumerate(self._row_sign):
+            y = Fraction(-reduced[self._first_artificial + i], denominator)
+            duals[i] = self._factor * sign * y
+        return LPResult(
+            status=OPTIMAL, value=self._objective.evaluate(assignment),
+            assignment=assignment, duals=duals, pivots=self._pivots,
+        )
 
 
 class _TableauOverflow(Exception):

@@ -216,7 +216,7 @@ def read_trace(path):
                 continue
             if kind == "span":
                 node = Span(event["name"], event.get("attrs") or {})
-                node.counters = dict(event.get("counters") or {})
+                node.counters = event.get("counters")
                 node.started = event.get("start_s", 0.0)
                 node.wall_s = event.get("wall_s", 0.0)
                 spans[event["id"]] = node
@@ -224,7 +224,7 @@ def read_trace(path):
                 if parent is None:
                     roots.append(node)
                 else:
-                    spans[parent].children.append(node)
+                    spans[parent].add_child(node)
                 continue
             if kind == "metric":
                 if event.get("kind") == "counter":

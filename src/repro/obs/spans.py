@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from time import perf_counter
+from types import MappingProxyType
 
 __all__ = ["Span", "Tracer", "activate", "active_tracer", "span"]
 
@@ -45,24 +46,65 @@ def _clean(value):
     return value if isinstance(value, _ATOMIC) else str(value)
 
 
+_NO_COUNTERS = MappingProxyType({})
+
+
 class Span:
-    """One timed, attributed, countered region of work."""
+    """One timed, attributed, countered region of work.
+
+    ``counters`` and ``children`` are created on first write (most
+    spans are leaves, and many count nothing); until then they read as
+    an empty read-only mapping and an empty tuple.
+    """
+
+    __slots__ = ("name", "attrs", "started", "wall_s", "_counters",
+                 "_children")
 
     def __init__(self, name, attrs=None):
         self.name = name
         self.attrs = {
             key: _clean(value) for key, value in (attrs or {}).items()
         }
-        self.counters = {}
+        self._counters = None
         self.started = 0.0     # perf_counter() at open (process-local)
         self.wall_s = 0.0      # seconds between open and close
-        self.children = []
+        self._children = None
+
+    @property
+    def counters(self):
+        """Counter name -> integer total."""
+        counters = self._counters
+        return _NO_COUNTERS if counters is None else counters
+
+    @counters.setter
+    def counters(self, counters):
+        self._counters = dict(counters) if counters else None
+
+    @property
+    def children(self):
+        """Child spans, in the order they were opened."""
+        children = self._children
+        return () if children is None else children
+
+    @children.setter
+    def children(self, children):
+        self._children = list(children) if children else None
 
     # -- recording -------------------------------------------------------------
 
     def inc(self, counter, amount=1):
         """Add *amount* to the named counter."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
+        counters = self._counters
+        if counters is None:
+            counters = self._counters = {}
+        counters[counter] = counters.get(counter, 0) + amount
+
+    def add_child(self, child):
+        """Append *child* to this span's children."""
+        if self._children is None:
+            self._children = [child]
+        else:
+            self._children.append(child)
 
     def set(self, **attrs):
         """Attach (JSON-atomic) attributes to the span."""
@@ -107,7 +149,7 @@ class Span:
         """Rebuild a span tree from :meth:`to_dict` output (``started``
         then holds the origin-relative offset)."""
         span = cls(data["name"], data.get("attrs") or {})
-        span.counters = dict(data.get("counters") or {})
+        span.counters = data.get("counters")
         span.started = data.get("start_s", 0.0)
         span.wall_s = data.get("wall_s", 0.0)
         span.children = [
@@ -158,7 +200,7 @@ class Tracer:
         """Open a child span of the innermost open span (or a new root)."""
         node = Span(name, attrs)
         if self._stack:
-            self._stack[-1].children.append(node)
+            self._stack[-1].add_child(node)
         else:
             self.roots.append(node)
         self._stack.append(node)

@@ -11,6 +11,9 @@ from repro.linalg.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _IntStandardForm,
+    _make_tableau,
+    _StandardForm,
     entails,
     entails_nonempty,
     feasible_point,
@@ -268,6 +271,120 @@ class TestFarkasEntailment:
             assert entails(system, candidate) == entails_nonempty(
                 system, candidate
             )
+
+
+def both_tableaus(objective, rows, sense="min", nonnegative=()):
+    """Solve on the integer and on the Fraction tableau; they must
+    agree on everything, pivot count included."""
+    results = [
+        form(objective, rows, sense, nonnegative).solve()
+        for form in (_IntStandardForm, _StandardForm)
+    ]
+    int_result, reference = (
+        (r.status, r.value, r.assignment, r.duals, r.pivots)
+        for r in results
+    )
+    assert int_result == reference
+    return results[0]
+
+
+def raw(coefficients, constant=0, relation=">="):
+    """A row kept exactly as written (no canonical integer scaling)."""
+    return Constraint._from_canonical(
+        LinearExpr(coefficients, constant), relation
+    )
+
+
+class TestIntTableau:
+    """The fraction-free integer tableau of the ``int`` kernel."""
+
+    def test_kernels_select_their_tableau(self):
+        rows = [ge(x())]
+        assert type(_make_tableau(x(), rows, "min", (), "int")) is (
+            _IntStandardForm
+        )
+        assert type(_make_tableau(x(), rows, "min", (), "reference")) is (
+            _StandardForm
+        )
+
+    def test_beale_cycling_example_with_fraction_rows(self):
+        # Beale's LP cycles under the largest-coefficient rule; Bland's
+        # rule must reach the optimum, through degenerate pivots, on
+        # rows that keep their Fraction coefficients.
+        f = Fraction
+        objective = LinearExpr(
+            {"x4": f(-3, 4), "x5": 150, "x6": f(-1, 50), "x7": 6}
+        )
+        rows = [
+            raw({"x4": f(-1, 4), "x5": 60, "x6": f(1, 25), "x7": -9}),
+            raw({"x4": f(-1, 2), "x5": 90, "x6": f(1, 50), "x7": -3}),
+            raw({"x6": -1}, 1),
+        ]
+        result = both_tableaus(objective, rows, nonnegative="all")
+        assert result.status == OPTIMAL
+        assert result.value == f(-1, 20)
+        assert result.assignment == {
+            "x4": f(1, 25), "x5": 0, "x6": 1, "x7": 0,
+        }
+        assert result.pivots > 2
+
+    def test_fraction_rows_scale_duals_back(self):
+        # min x + y over x/2 + y/3 >= 1 and x - y/4 = 1/2, x, y free.
+        f = Fraction
+        rows = [
+            raw({"x": f(1, 2), "y": f(1, 3)}, -1),
+            raw({"x": 1, "y": f(-1, 4)}, f(-1, 2), "="),
+            ge(x()),
+            ge(y()),
+        ]
+        result = both_tableaus(x() + y(), rows)
+        assert result.status == OPTIMAL
+        assert sum(
+            result.duals[i] * -row.expr.const for i, row in enumerate(rows)
+        ) == result.value
+
+    def test_fraction_objective_under_max(self):
+        rows = [
+            Constraint.eq(x() + y(), 4),
+            Constraint.le(x(), 3),
+            Constraint.le(y() * 2, 5),
+        ]
+        objective = x() * Fraction(1, 3) + y() * Fraction(5, 2)
+        result = both_tableaus(objective, rows, "max", "all")
+        assert result.status == OPTIMAL
+        assert result.value == Fraction(1, 2) + Fraction(25, 4)
+        assert any(result.duals.values())
+
+    def test_entries_beyond_int64(self):
+        big = 2**70 + 3
+        rows = [
+            Constraint.ge(x() * big + y(), 1),
+            Constraint.le(x() + y() * big, big * 5 + 1),
+            Constraint.eq(x() * (big + 2) - y() * big, 7),
+        ]
+        for sense in ("min", "max"):
+            result = both_tableaus(x() + y() * 3, rows, sense, "all")
+            assert result.status == OPTIMAL
+            assert all(row.satisfied_by(result.assignment) for row in rows)
+
+    def test_infeasible_and_unbounded(self):
+        infeasible = both_tableaus(
+            x(), [Constraint.ge(x(), 1), Constraint.le(x(), 0)]
+        )
+        assert infeasible.status == INFEASIBLE
+        unbounded = both_tableaus(-x(), [Constraint.ge(x(), 0)])
+        assert unbounded.status == UNBOUNDED
+
+    def test_redundant_equalities_drive_out_artificials(self):
+        rows = [
+            Constraint.eq(x() + y(), 2),
+            Constraint.eq(x() * 2 + y() * 2, 4),
+            Constraint.ge(x(), 0),
+            Constraint.ge(y(), 0),
+        ]
+        result = both_tableaus(x() - y(), rows)
+        assert result.status == OPTIMAL
+        assert result.value == -2
 
 
 class TestAgainstScipy:

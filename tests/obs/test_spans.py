@@ -55,6 +55,41 @@ class TestSpanBasics:
         assert twin.children[0].wall_s == pytest.approx(0.25)
 
 
+    def test_bare_span_round_trips_unchanged(self, tmp_path):
+        # No counters and no children: dict, pickle and repro.trace/1
+        # forms still carry an empty mapping and an empty list.
+        from repro.obs.sinks import read_trace, span_events, write_trace
+
+        bare = Span("leaf", {"k": 1})
+        bare.started = 2.0
+        bare.wall_s = 0.5
+        expected = {
+            "name": "leaf", "start_s": 0.0, "wall_s": 0.5,
+            "attrs": {"k": 1}, "counters": {}, "children": [],
+        }
+        assert bare.to_dict() == expected
+        assert Span.from_dict(expected).to_dict() == expected
+        assert pickle.loads(pickle.dumps(bare)).to_dict() == expected
+        assert bare.counters == {} and list(bare.children) == []
+        [event] = span_events([bare])
+        assert event["counters"] == {}
+        path = tmp_path / "bare.jsonl"
+        write_trace(path, [bare])
+        _, [twin], _ = read_trace(path)
+        assert twin.to_dict() == expected
+        assert span_events([twin]) == [event]
+
+    def test_empty_containers_are_read_only(self):
+        bare = Span("leaf")
+        with pytest.raises(TypeError):
+            bare.counters["rows"] = 1
+        with pytest.raises(AttributeError):
+            bare.children.append(Span("child"))
+        bare.inc("rows")
+        bare.add_child(Span("child"))
+        assert bare.counters == {"rows": 1}
+        assert [child.name for child in bare.children] == ["child"]
+
 class TestTracerNesting:
     def test_parent_child_links(self):
         tracer = Tracer()

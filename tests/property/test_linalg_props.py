@@ -11,6 +11,8 @@ Invariants:
 - the multiplier-side (affine Farkas) entailment and emptiness tests
   agree with a primal minimization oracle, and the LP redundancy prune
   keeps exactly the rows a greedy pass driven by that oracle keeps;
+- the fraction-free integer tableau pivots exactly like the Fraction
+  tableau: same status, value, assignment, duals and pivot count;
 - polyhedron joins are upper bounds and widening over-approximates.
 """
 
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FMBlowupError
-from repro.linalg.constraints import Constraint, ConstraintSystem
+from repro.linalg.constraints import EQ, GE, Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import (
     eliminate,
     eliminate_all_tracked,
@@ -32,6 +34,8 @@ from repro.linalg.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _IntStandardForm,
+    _StandardForm,
     entails,
     feasible_point,
     is_feasible,
@@ -42,6 +46,7 @@ from tests.property.strategies import (
     assignments,
     constraint_systems,
     constraints,
+    fractions,
     linear_exprs,
 )
 
@@ -230,3 +235,67 @@ def test_lp_prune_matches_oracle_driven_greedy_pass(system):
             alive[position] = True
     expected = [row for row, keep in zip(expected, alive) if keep]
     assert list(prune_redundant(system, use_lp=True)) == expected
+
+
+LP_POOL = ("x", "y", "z", "w")
+
+
+@st.composite
+def lp_rows(draw, pool=LP_POOL):
+    """One LP row.  Some are canonical (integer) constraints; the rest
+    keep Fraction coefficients, or carry entries beyond 2**63.  Rows
+    through the origin make the degenerate pivots where Bland's
+    tie-breaking decides the sequence."""
+    relation = draw(st.sampled_from([GE, GE, EQ]))
+    kind = draw(st.sampled_from(["canonical", "fraction", "huge"]))
+    names = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    if kind == "huge":
+        values = st.integers(-2**70, 2**70)
+    elif kind == "fraction":
+        values = fractions()
+    else:
+        values = st.integers(-4, 4)
+    coefficients = {name: draw(values) for name in names}
+    constant = 0 if draw(st.booleans()) else draw(values)
+    expr = LinearExpr(coefficients, constant)
+    if kind == "canonical":
+        return Constraint(expr, relation)
+    return Constraint._from_canonical(expr, relation)
+
+
+@st.composite
+def lp_instances(draw, pool=LP_POOL):
+    """``(objective, rows, sense, nonnegative)`` for both tableaus.
+    Half the instances get a box ``-5 <= v <= 5`` on every variable,
+    so that many of them reach an optimum and report duals."""
+    rows = draw(st.lists(lp_rows(pool), max_size=7))
+    if draw(st.booleans()):
+        for name in pool:
+            rows.append(Constraint.ge(LinearExpr.of(name), -5))
+            rows.append(Constraint.le(LinearExpr.of(name), 5))
+    objective = draw(linear_exprs(pool, max_terms=4))
+    sense = draw(st.sampled_from(["min", "max"]))
+    nonnegative = draw(st.sampled_from([(), "all", ("x",), ("y", "w")]))
+    return objective, rows, sense, nonnegative
+
+
+def _outcome(result):
+    return (result.status, result.value, result.assignment, result.duals,
+            result.pivots)
+
+
+class _PivotBudget(_IntStandardForm):
+    """Fails instead of looping when stale reduced costs would make
+    Bland's rule pivot forever (these LPs need a few dozen pivots)."""
+
+    def _pivot(self, pivot_row, pivot_column):
+        assert self._pivots < 1000, "pivot budget exhausted"
+        super()._pivot(pivot_row, pivot_column)
+
+
+@given(lp_instances())
+@settings(max_examples=300, deadline=None)
+def test_int_tableau_pivots_like_fraction_tableau(instance):
+    assert _outcome(_PivotBudget(*instance).solve()) == _outcome(
+        _StandardForm(*instance).solve()
+    )
